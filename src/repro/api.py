@@ -292,8 +292,8 @@ def fetch(
 ) -> Dict:
     """The result payload for ``job_id``.
 
-    With ``wait=True`` (the default) polls until the job reaches a
-    terminal state, then returns the result envelope; ``wait=False``
+    With ``wait=True`` (the default) long-polls until the job reaches
+    a terminal state, then returns the result envelope; ``wait=False``
     asks exactly once and raises ``ServiceError`` (409, ``not_ready``)
     when the job is still in flight.
     """

@@ -1798,7 +1798,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--wait",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="poll until the job is terminal (--no-wait asks once)",
+        help="wait until the job is terminal (--no-wait asks once)",
     )
     jobs_result.add_argument(
         "--wait-timeout",

@@ -11,7 +11,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Tuple
 
 from repro.soc.config import SocConfig
 from repro.soc.esp_library import stock_accelerator
@@ -188,19 +190,27 @@ def paper_designs() -> Dict[str, SocConfig]:
     }
 
 
+@lru_cache(maxsize=None)
+def _designs_by_name() -> Mapping[str, SocConfig]:
+    """:func:`paper_designs`, built once on first use (configs are frozen)."""
+    return MappingProxyType(paper_designs())
+
+
 def resolve_config(spec: str) -> SocConfig:
     """A design name or an ``esp_config`` path.
 
     The shared resolver behind both the CLI's positional ``config``
     argument and the service daemon's job specs, so a job submitted
-    over HTTP accepts exactly what ``repro build`` accepts.
+    over HTTP accepts exactly what ``repro build`` accepts. Design names
+    resolve from a table built on first use; a path is read on every
+    call, so an edited ``esp_config`` file is picked up.
     """
     import os
 
     from repro.errors import PrEspError
     from repro.soc.esp_parser import load_esp_config
 
-    designs = paper_designs()
+    designs = _designs_by_name()
     if spec in designs:
         return designs[spec]
     if os.path.exists(spec):

@@ -10,6 +10,12 @@ Labels follow the Prometheus convention: an instrument is registered
 once by name, and each distinct label combination is a separate
 series. Snapshot keys render as ``name{k=v,...}``.
 
+Recording is lock-free; readers are safe against concurrent writers
+because every view (``series``, ``items``, ``snapshot``) iterates a
+copy of the series dict, taken in one C-level step under the GIL. A
+request thread may add a fresh label series while a worker snapshots
+the registry: the snapshot then simply predates that series.
+
 When a :class:`~repro.obs.context.TelemetryContext` is active, every
 recording implicitly carries its ``request``/``tenant`` labels
 (explicit labels of the same name win), so per-request series appear
@@ -83,12 +89,12 @@ class Counter:
     def series(self) -> Dict[str, float]:
         return {
             _series_name(self.name, key): value
-            for key, value in self._values.items()
+            for key, value in self._values.copy().items()
         }
 
     def items(self) -> List[Tuple[LabelKey, float]]:
         """``(label_key, value)`` pairs, label-ordered (exporter view)."""
-        return sorted(self._values.items())
+        return sorted(self._values.copy().items())
 
 
 class Gauge:
@@ -112,12 +118,12 @@ class Gauge:
     def series(self) -> Dict[str, float]:
         return {
             _series_name(self.name, key): value
-            for key, value in self._values.items()
+            for key, value in self._values.copy().items()
         }
 
     def items(self) -> List[Tuple[LabelKey, float]]:
         """``(label_key, value)`` pairs, label-ordered (exporter view)."""
-        return sorted(self._values.items())
+        return sorted(self._values.copy().items())
 
 
 #: Default histogram buckets: wide enough for both milliseconds of
@@ -256,7 +262,7 @@ class Histogram:
 
     def series(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
-        for key, series in self._series.items():
+        for key, series in self._series.copy().items():
             base = _series_name(self.name, key)
             out[f"{base}.count"] = float(series.count)
             out[f"{base}.sum"] = series.total
@@ -282,7 +288,7 @@ class Histogram:
 
     def items(self) -> List[Tuple[LabelKey, "_HistogramSeries"]]:
         """``(label_key, series)`` pairs, label-ordered (exporter view)."""
-        return sorted(self._series.items(), key=lambda item: item[0])
+        return sorted(self._series.copy().items(), key=lambda item: item[0])
 
 
 class MetricsRegistry:
@@ -327,7 +333,8 @@ class MetricsRegistry:
 
     def instruments(self) -> List[object]:
         """All registered instruments, name-ordered."""
-        return [self._instruments[name] for name in sorted(self._instruments)]
+        instruments = self._instruments.copy()
+        return [instruments[name] for name in sorted(instruments)]
 
     def snapshot(self) -> Dict[str, float]:
         """Flat ``{series_name: value}`` dict, deterministically ordered."""

@@ -22,7 +22,7 @@ from urllib.parse import urlencode
 from repro.errors import PrEspError
 from repro.service.schema import check_envelope
 
-#: Job states the poll loop treats as finished. ``dead`` is terminal
+#: Job states the wait loop treats as finished. ``dead`` is terminal
 #: too: a dead-lettered job will never progress without an explicit
 #: operator requeue, so waiting on it would only time out.
 _TERMINAL = ("succeeded", "failed", "cancelled", "dead")
@@ -64,8 +64,8 @@ class ServiceClient:
         self.base_url = f"http://{host}:{port}"
         self.timeout = timeout
         #: Transient-failure budget for the idempotent verbs (wait's
-        #: polls, healthz): a daemon mid-restart refuses connections
-        #: for a moment, which should read as "poll again", not crash
+        #: long-polls, healthz): a daemon mid-restart refuses connections
+        #: for a moment, which should read as "ask again", not crash
         #: the caller. Non-idempotent verbs (submit, cancel, requeue)
         #: never retry — a resend could double-apply.
         self.retries = retries
@@ -159,8 +159,12 @@ class ServiceClient:
         }
         return self._request("POST", "/v1/jobs", payload=payload, kind="job")
 
-    def status(self, job_id: str) -> Dict:
-        return self._request("GET", f"/v1/jobs/{job_id}", kind="job")
+    def status(self, job_id: str, wait: Optional[float] = None) -> Dict:
+        """The job record; with ``wait``, a long-poll: the daemon holds
+        the request until the job is terminal or ``wait`` seconds pass
+        (capped server-side), then answers with the record as it stands."""
+        query = "" if wait is None else f"?wait={wait:.3f}"
+        return self._request("GET", f"/v1/jobs/{job_id}{query}", kind="job")
 
     def jobs(
         self, tenant: Optional[str] = None, state: Optional[str] = None
@@ -230,20 +234,24 @@ class ServiceClient:
             ) from error
 
     # ------------------------------------------------------------------
-    def wait(
-        self, job_id: str, timeout: float = 120.0, poll_s: float = 0.05
-    ) -> Dict:
-        """Poll until the job reaches a terminal state; returns it.
+    def wait(self, job_id: str, timeout: float = 120.0) -> Dict:
+        """Block until the job reaches a terminal state; returns it.
+
+        A loop of long-polls: the daemon answers as soon as the job's
+        terminal state is persisted, so completion is seen one save
+        after it happens. Each hold is at most half the socket timeout,
+        so the socket never times out mid-hold.
 
         Raises :class:`ServiceUnavailable` on timeout — from the
         caller's seat an unresponsive job and an unreachable daemon
-        call for the same remedy. Each poll retries transient
+        call for the same remedy. Each long-poll retries transient
         connection failures with seeded backoff, so a daemon restart
         mid-wait doesn't abort the wait.
         """
         deadline = time.monotonic() + timeout
         while True:
-            record = self._with_retries(lambda: self.status(job_id))
+            hold = max(0.0, min(deadline - time.monotonic(), self.timeout / 2))
+            record = self._with_retries(lambda: self.status(job_id, wait=hold))
             if record.get("state") in _TERMINAL:
                 return record
             if time.monotonic() >= deadline:
@@ -251,4 +259,3 @@ class ServiceClient:
                     f"job {job_id} still {record.get('state')!r} after "
                     f"{timeout:g}s"
                 )
-            time.sleep(poll_s)

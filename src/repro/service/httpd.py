@@ -5,7 +5,7 @@ envelope::
 
     POST /v1/jobs               submit   (schema-validated; 202 / 400 / 429)
     GET  /v1/jobs               list     (?tenant=&state= filters)
-    GET  /v1/jobs/<id>          status   (404 unknown)
+    GET  /v1/jobs/<id>          status   (404 unknown; ?wait=<s> long-polls)
     POST /v1/jobs/<id>/cancel   cancel   (idempotent)
     POST /v1/jobs/<id>/requeue  revive a dead-lettered job (409 unless dead)
     GET  /v1/jobs/<id>/result   result   (409 until terminal)
@@ -18,6 +18,14 @@ the handlers touch on the :class:`~repro.service.supervisor.Supervisor`
 is lock-guarded there. Admission failures map to HTTP 429 with a
 machine-readable ``reason`` — an over-quota submit is *rejected*, never
 queued.
+
+``GET /v1/jobs/<id>?wait=<s>`` is the long-poll a client waits on: the
+handler thread holds the request in
+:meth:`~repro.service.supervisor.Supervisor.wait_terminal` until the
+job's terminal state is persisted, ``s`` seconds pass (capped at
+:data:`MAX_WAIT_S`) or the daemon stops, then answers with the record
+as it stands — so a waiting client learns of completion one save after
+it happens, with no poll interval in between.
 """
 
 from __future__ import annotations
@@ -48,6 +56,10 @@ API_PREFIX = "/v1"
 #: Cap on request bodies: a submit is a small JSON document, so
 #: anything bigger is garbage (or abuse) and is rejected before read.
 MAX_BODY_BYTES = 64 * 1024
+
+#: Longest hold of one ``?wait=`` long-poll; a client waiting longer
+#: re-issues the request.
+MAX_WAIT_S = 30.0
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
@@ -129,7 +141,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             if parts == ("v1", "jobs"):
                 return self._get_jobs(parse_qs(url.query))
             if len(parts) == 3 and parts[:2] == ("v1", "jobs"):
-                return self._get_job(parts[2])
+                return self._get_job(parts[2], parse_qs(url.query))
             if (
                 len(parts) == 4
                 and parts[:2] == ("v1", "jobs")
@@ -223,8 +235,25 @@ class ServiceHandler(BaseHTTPRequestHandler):
             ),
         )
 
-    def _get_job(self, job_id: str) -> None:
-        record = self.server.supervisor.get(job_id)
+    def _get_job(self, job_id: str, query: Dict) -> None:
+        wait = (query.get("wait") or [None])[0]
+        if wait is None:
+            record = self.server.supervisor.get(job_id)
+        else:
+            try:
+                hold = float(wait)
+            except ValueError:
+                hold = -1.0
+            if not hold >= 0.0:  # negative, non-numeric or NaN
+                self._send_error(
+                    400,
+                    f"wait must be a non-negative number of seconds, got {wait!r}",
+                    reason="bad_request",
+                )
+                return
+            record = self.server.supervisor.wait_terminal(
+                job_id, min(hold, MAX_WAIT_S)
+            )
         if record is None:
             self._send_error(404, f"unknown job {job_id!r}", reason="not_found")
             return

@@ -14,11 +14,14 @@ ladder).
 Crash safety is a replay, not a transaction log: every state change of
 a job is persisted to its own JSON file *before* it becomes externally
 observable, and :meth:`Supervisor.start` requeues any job found
-``queued`` or ``running`` on disk. A requeued build resumes from its
-checkpoint directory (completed stages restore byte-identically; the
-result summary of a resumed build equals the uninterrupted one), and
-the daemon reports itself ``recovering`` — HTTP 503 — until the
-requeued backlog drains.
+``queued`` or ``running`` on disk. No result is visible that a crash
+could roll back: :meth:`Supervisor.wait_terminal` — the long-poll
+behind ``GET /v1/jobs/<id>?wait=`` — wakes a waiter only after the
+job's terminal state has been saved, never when the in-memory table
+flips. A requeued build resumes from its checkpoint directory
+(completed stages restore byte-identically; the result summary of a
+resumed build equals the uninterrupted one), and the daemon reports
+itself ``recovering`` — HTTP 503 — until the requeued backlog drains.
 
 On top of that replay sits the resilience ladder this module owns:
 
@@ -59,7 +62,7 @@ from repro.core.designs import resolve_config
 from repro.core.platform import PrEspPlatform
 from repro.core.strategy import ImplementationStrategy
 from repro.errors import PrEspError
-from repro.flow.batch import BuildRequest
+from repro.flow.batch import BuildOutcome, BuildRequest
 from repro.flow.cache import FlowCache
 from repro.flow.options import BuildOptions
 from repro.obs.context import activate
@@ -216,6 +219,11 @@ class Supervisor:
         #: Pending seeded-backoff requeue timers, so stop() can cancel.
         self._timers: List[threading.Timer] = []
         self._timers_lock = threading.Lock()
+        #: job_id -> the state its last save wrote; ``_persisted``
+        #: notifies after each save, so long-poll waiters wake on a
+        #: persisted state, never on the table flip that precedes it.
+        self._saved: Dict[str, JobState] = {}
+        self._persisted = threading.Condition()
 
         self._jobs_counter = self.registry.counter(
             "service_jobs_total", "service jobs by terminal status"
@@ -286,6 +294,8 @@ class Supervisor:
                 self._start_seq = max(self._start_seq, record.start_seq + 1)
             with self._table_lock:
                 self._table[record.job_id] = record
+            with self._persisted:
+                self._saved[record.job_id] = record.state
             if record.state is JobState.RUNNING:
                 # The previous daemon died mid-job. A job that already
                 # burned its whole attempt budget is poison: requeueing
@@ -359,6 +369,8 @@ class Supervisor:
         it.
         """
         self._stopping.set()
+        with self._persisted:
+            self._persisted.notify_all()  # no long-poll outlives the daemon
         if drain:
             self._draining.set()
         self.queue.close()
@@ -418,8 +430,16 @@ class Supervisor:
     # persistence
     # ------------------------------------------------------------------
     def _persist(self, record: JobRecord) -> None:
-        """Write-through with bounded retries of injected IO faults."""
-        self.store.save_retrying(record)
+        """Write-through with bounded retries of injected IO faults,
+        then wake the long-poll waiters on what reached disk."""
+        state = record.state  # the save writes this state or a later one
+        saved = self.store.save_retrying(record)
+        with self._persisted:
+            if saved:
+                self._saved[record.job_id] = state
+                self._persisted.notify_all()
+            else:
+                self._saved.pop(record.job_id, None)
 
     # ------------------------------------------------------------------
     # the API surface the HTTP layer calls
@@ -463,6 +483,27 @@ class Supervisor:
     def get(self, job_id: str) -> Optional[JobRecord]:
         with self._table_lock:
             return self._table.get(job_id)
+
+    def wait_terminal(self, job_id: str, timeout: float) -> Optional[JobRecord]:
+        """The job's record once its terminal state is persisted.
+
+        Blocks until then, until ``timeout`` seconds pass, or until
+        :meth:`stop` runs — whichever comes first — and returns the
+        record as it stands (non-terminal on expiry); None for an
+        unknown ID. The wake-up comes from :meth:`_persist`, after the
+        save: a waiter is never woken by a state a crash could roll back.
+        """
+        if self.get(job_id) is None:
+            return None
+        deadline = time.monotonic() + timeout
+        with self._persisted:
+            while not self._stopping.is_set():
+                saved = self._saved.get(job_id)
+                remaining = deadline - time.monotonic()
+                if (saved is not None and saved.terminal) or remaining <= 0:
+                    break
+                self._persisted.wait(remaining)
+        return self.get(job_id)
 
     def cancel(self, job_id: str) -> Optional[JobRecord]:
         """Cancel a queued job (terminal); flag a running one.
@@ -806,6 +847,13 @@ class Supervisor:
     def checkpoint_dir(self, job_id: str) -> Path:
         return self.state_dir / "checkpoints" / job_id
 
+    @staticmethod
+    def _build_failed(outcome: BuildOutcome) -> _AttemptOutcome:
+        return _AttemptOutcome(
+            state=JobState.FAILED,
+            error={"kind": outcome.error.kind, "message": outcome.error.message},
+        )
+
     def _run_build(self, record: JobRecord) -> _AttemptOutcome:
         spec = record.spec
         config = resolve_config(spec.config)
@@ -819,13 +867,7 @@ class Supervisor:
             resume=True,
         )
         if outcome.error is not None:
-            return _AttemptOutcome(
-                state=JobState.FAILED,
-                error={
-                    "kind": outcome.error.kind,
-                    "message": outcome.error.message,
-                },
-            )
+            return self._build_failed(outcome)
         assert outcome.result is not None
         return _AttemptOutcome(
             state=JobState.SUCCEEDED,
@@ -835,9 +877,18 @@ class Supervisor:
         )
 
     def _run_deploy(self, record: JobRecord) -> _AttemptOutcome:
+        # The flow comes through the shared cache like a build job's:
+        # a deploy of an already-built design skips the floorplanner.
         spec = record.spec
         config = resolve_config(spec.config)
-        report = self.platform.deploy_wami(config, frames=spec.frames)
+        outcome = self.batch.build_one(BuildRequest(config=config))
+        if outcome.error is not None:
+            return self._build_failed(outcome)
+        report = self.platform.deploy_wami(
+            config, flow_result=outcome.result, frames=spec.frames
+        )
         return _AttemptOutcome(
-            state=JobState.SUCCEEDED, result=report.to_summary_dict()
+            state=JobState.SUCCEEDED,
+            result=report.to_summary_dict(),
+            cached=outcome.cached,
         )

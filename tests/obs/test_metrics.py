@@ -1,5 +1,9 @@
 """Tests for the metrics registry."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.obs.metrics import (
@@ -164,6 +168,46 @@ class TestRegistry:
         second = registry.snapshot()
         assert first == second
         assert list(first) == list(second)
+
+
+class TestConcurrentReaders:
+    """A snapshot must not race a writer adding fresh label series."""
+
+    def test_snapshot_while_inc_adds_series(self, registry):
+        errors = []
+        stop = threading.Event()
+        running = threading.Event()
+
+        def writer():
+            # Fresh labels on every call: each one grows a series dict
+            # the snapshot may be iterating (and new instruments too).
+            n = 0
+            while not stop.is_set():
+                registry.counter("jobs").inc(request=f"r{n}")
+                registry.histogram("seconds").observe(0.01, request=f"r{n}")
+                registry.counter(f"c{n % 64}").inc()
+                n += 1
+                if n == 100:
+                    running.set()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force thread switches mid-iteration
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        try:
+            assert running.wait(timeout=10)
+            deadline = time.monotonic() + 0.5
+            while time.monotonic() < deadline and not errors:
+                try:
+                    registry.snapshot()
+                    registry.counter("jobs").items()
+                except RuntimeError as error:  # "dictionary changed size"
+                    errors.append(error)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+            sys.setswitchinterval(switch)
+        assert not errors
 
 
 class TestNullRegistry:

@@ -129,28 +129,39 @@ class TestParity:
 
 @pytest.mark.perf
 class TestWarmCache:
+    #: Samples per side. The bound compares the fastest cold build with
+    #: the fastest warm hit, so one descheduled sample cannot decide it.
+    SAMPLES = 5
+
     def test_warm_hit_is_ten_times_faster_than_cold(self, tmp_path):
-        config = ServiceConfig(
-            state_dir=tmp_path / "state", port=0, workers=1, jobs=1
-        )
-        with BuildService(config) as service:
-            client = ServiceClient(port=service.port)
-            # soc_1 is the largest characterization SoC — the slowest
-            # cold build, so the cache-hit ratio has headroom. GC is
-            # quiesced (process-global, so it covers the in-process
-            # daemon's worker thread too): a gen-2 pass late in a full
-            # suite run can land inside the ~2 ms warm window.
-            gc.collect()
-            gc.disable()
-            try:
-                cold = client.wait(client.submit("soc_1")["job_id"])
-                warm = client.wait(client.submit("soc_1")["job_id"])
-            finally:
-                gc.enable()
-        assert cold["cached"] is False
-        assert warm["cached"] is True
-        assert warm["result"] == cold["result"]
-        assert cold["elapsed_s"] >= 10 * warm["elapsed_s"]
+        cold_s, warm_s = [], []
+        for sample in range(self.SAMPLES):
+            # A fresh state directory per sample: each cold build
+            # really misses the flow cache.
+            config = ServiceConfig(
+                state_dir=tmp_path / f"state-{sample}", port=0, workers=1, jobs=1
+            )
+            with BuildService(config) as service:
+                client = ServiceClient(port=service.port)
+                # soc_1 is the largest characterization SoC — the
+                # slowest cold build, so the cache-hit ratio has
+                # headroom. GC is quiesced (process-global, so it covers
+                # the in-process daemon's worker thread too): a gen-2
+                # pass late in a full suite run can land inside the
+                # ~2 ms warm window.
+                gc.collect()
+                gc.disable()
+                try:
+                    cold = client.wait(client.submit("soc_1")["job_id"])
+                    warm = client.wait(client.submit("soc_1")["job_id"])
+                finally:
+                    gc.enable()
+            assert cold["cached"] is False
+            assert warm["cached"] is True
+            assert warm["result"] == cold["result"]
+            cold_s.append(cold["elapsed_s"])
+            warm_s.append(warm["elapsed_s"])
+        assert min(cold_s) >= 10 * min(warm_s)
 
 
 def start_daemon(state_dir, *extra_args):

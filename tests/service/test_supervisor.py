@@ -5,7 +5,10 @@ import time
 
 import pytest
 
+from repro.core.designs import resolve_config
+from repro.core.platform import PrEspPlatform
 from repro.errors import PrEspError
+from repro.flow.batch import BuildError, BuildOutcome
 from repro.obs.health import Verdict
 from repro.service.jobs import JobRecord, JobSpec, JobState, JobStore
 from repro.service.supervisor import (
@@ -17,14 +20,15 @@ from repro.service.supervisor import (
 
 
 def wait_terminal(supervisor, records, timeout=60.0):
-    """Block until every record is terminal (records mutate in place)."""
+    """Block until every record's terminal state is persisted."""
     deadline = time.monotonic() + timeout
     for record in records:
-        while not record.state.terminal:
-            assert time.monotonic() < deadline, (
-                f"job {record.job_id} stuck in {record.state.value}"
-            )
-            time.sleep(0.01)
+        supervisor.wait_terminal(
+            record.job_id, max(0.0, deadline - time.monotonic())
+        )
+        assert record.state.terminal, (
+            f"job {record.job_id} stuck in {record.state.value}"
+        )
     return records
 
 
@@ -44,16 +48,8 @@ class TestExecution:
         assert record.error is None
         assert record.attempts == 1
         assert record.result["soc"] == "soc_2"
-        # The terminal record reaches disk (write-through lags the
-        # in-memory flip by one save call; a crash in that window
-        # merely requeues the idempotent job).
-        deadline = time.monotonic() + 10
-        while True:
-            saved = supervisor.store.load(record.job_id)
-            if saved.state.terminal:
-                break
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
+        # wait_terminal returns once the terminal record is on disk.
+        saved = supervisor.store.load(record.job_id)
         assert saved.state is JobState.SUCCEEDED
         assert saved.result == record.result
 
@@ -75,6 +71,35 @@ class TestExecution:
         wait_terminal(supervisor, [record])
         assert record.state is JobState.SUCCEEDED
         assert record.result["soc"] == "soc_z"
+
+    def test_deploy_reads_the_flow_cache(self, supervisor):
+        supervisor.start()
+        build = supervisor.submit(JobSpec(config="soc_x"))
+        wait_terminal(supervisor, [build])
+        deploy = supervisor.submit(JobSpec(config="soc_x", kind="deploy"))
+        wait_terminal(supervisor, [deploy])
+        assert deploy.state is JobState.SUCCEEDED
+        assert deploy.cached is True
+        # Same report as a deploy that builds its own flow.
+        fresh = PrEspPlatform().deploy_wami(resolve_config("soc_x"))
+        assert deploy.result == fresh.to_summary_dict()
+
+    def test_deploy_build_error_fails_the_job(self, supervisor, monkeypatch):
+        def broken(request, **kwargs):
+            return BuildOutcome(
+                request=request,
+                result=None,
+                error=BuildError(kind="FlowError", message="no fit"),
+                cached=False,
+                elapsed_s=0.0,
+            )
+
+        monkeypatch.setattr(supervisor.batch, "build_one", broken)
+        supervisor.start()
+        record = supervisor.submit(JobSpec(config="soc_x", kind="deploy"))
+        wait_terminal(supervisor, [record])
+        assert record.state is JobState.FAILED
+        assert record.error == {"kind": "FlowError", "message": "no fit"}
 
     def test_unknown_config_rejected_at_submit(self, supervisor):
         with pytest.raises(PrEspError, match="neither a known design"):
