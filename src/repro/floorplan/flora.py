@@ -7,14 +7,20 @@ column avoidance, non-overlap — with a deterministic best-fit heuristic
 in place of the MILP (the flow only needs *a* legal floorplan; pblock
 geometry does not feed the runtime model).
 
-The candidate search is fully vectorized over the column axis: the
-fabric's per-resource column prefix sums turn "does window [lo, hi]
-cover the demand" into an O(1) subtraction, and for a fixed clock-region
-band the *minimal* satisfying ``col_hi`` for every anchor column is one
-``np.searchsorted`` per resource kind (prefix sums are non-decreasing,
-so the minimal window is a binary search, not a scan). Occupancy is a
-boolean column x region-row grid, so blocking a band is a single
-``any(axis=1)`` reduction instead of a per-cell tuple-set probe.
+The candidate search is vectorized per band *height*. The fabric's
+per-resource column prefix sums turn "does window [lo, hi] cover the
+demand" into an O(1) subtraction, and a window of height ``h`` covers
+resource ``k`` iff its column sum reaches ``ceil(need_k / h)``. So the
+*minimal* satisfying ``col_hi`` of every anchor column — and with it
+the window's area — depends on the height alone, not on which
+clock-region rows the band spans: one ``np.searchsorted`` per resource
+kind yields it for every (height, anchor) pair. Occupancy is a boolean
+column x region-row grid; its summed-area table (blocked cells in rows
+``[0, r)`` x columns ``[0, x)``) gives, for all bands of a height at
+once, the blocked-cell count between an anchor and its ``col_hi`` as a
+``(bands, columns)`` difference, and a window is free iff that count
+is zero. A height therefore costs a fixed handful of numpy calls
+however many bands it has; the Python loop runs over heights only.
 
 :class:`ReferenceFloraFloorplanner` keeps the original scalar
 per-window search as the executable specification; the equivalence
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -33,10 +39,6 @@ from repro.errors import FloorplanError
 from repro.fabric.device import Device
 from repro.fabric.pblock import Pblock
 from repro.fabric.resources import ResourceKind, ResourceVector
-
-#: Either occupancy representation ``_place_one`` accepts: the planner's
-#: boolean (column, region_row) grid or a legacy set of (col, row) cells.
-Occupancy = Union[np.ndarray, Set[Tuple[int, int]]]
 
 
 @dataclass(frozen=True)
@@ -77,21 +79,6 @@ class Floorplan:
         return assignment
 
 
-def _unblocked_runs(blocked: np.ndarray) -> List[Tuple[int, int]]:
-    """Maximal inclusive [lo, hi] runs of False in a boolean mask."""
-    runs: List[Tuple[int, int]] = []
-    start: Optional[int] = None
-    for index, is_blocked in enumerate(blocked):
-        if not is_blocked and start is None:
-            start = index
-        elif is_blocked and start is not None:
-            runs.append((start, index - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(blocked) - 1))
-    return runs
-
-
 class FloraFloorplanner:
     """Deterministic best-fit floorplanner over a device."""
 
@@ -105,13 +92,19 @@ class FloraFloorplanner:
             raise FloorplanError(
                 f"target utilization must be in [0.1, 1.0], got {target_utilization}"
             )
+        if max_height_regions is None:
+            max_height_regions = device.region_rows
+        elif max_height_regions < 1:
+            raise FloorplanError(
+                f"max height must be at least 1 region row, got {max_height_regions}"
+            )
         self.device = device
         self.target_utilization = target_utilization
-        self.max_height = max_height_regions or device.region_rows
+        # Taller bands than the device has rows hold no candidates.
+        self.max_height = min(max_height_regions, device.region_rows)
         self._forbidden: Set[int] = set(device.forbidden_columns())
         self._forbidden_mask = np.zeros(device.num_columns, dtype=bool)
-        for x in self._forbidden:
-            self._forbidden_mask[x] = True
+        self._forbidden_mask[list(self._forbidden)] = True
         # Per-resource prefix sums over column segments: prefix[x][k] is
         # the sum of resource k over columns [0, x) — owned and cached
         # by the device, shared across every planner instance.
@@ -152,27 +145,18 @@ class FloraFloorplanner:
     # ------------------------------------------------------------------
     # occupancy representation (the reference planner overrides these)
     # ------------------------------------------------------------------
-    def _empty_occupancy(self) -> Occupancy:
+    def _empty_occupancy(self) -> np.ndarray:
         return np.zeros((self.device.num_columns, self.device.region_rows), dtype=bool)
 
-    def _mark_occupied(self, occupied: Occupancy, pb: Pblock) -> None:
+    def _mark_occupied(self, occupied: np.ndarray, pb: Pblock) -> None:
         occupied[pb.col_lo : pb.col_hi + 1, pb.row_lo : pb.row_hi + 1] = True
-
-    def _occupancy_grid(self, occupied: Occupancy) -> np.ndarray:
-        """Normalize either occupancy representation to the boolean grid."""
-        if isinstance(occupied, np.ndarray):
-            return occupied
-        grid = np.zeros((self.device.num_columns, self.device.region_rows), dtype=bool)
-        for col, row in occupied:
-            grid[col, row] = True
-        return grid
 
     # ------------------------------------------------------------------
     def _place_with_relaxation(
         self,
         rp_name: str,
         demand: ResourceVector,
-        occupied: Occupancy,
+        occupied: np.ndarray,
     ) -> RegionAssignment:
         """Place one RP, relaxing the routability headroom if needed.
 
@@ -210,17 +194,11 @@ class FloraFloorplanner:
             dsp=demand.dsp,
         )
 
-    def _window_satisfies(
-        self, need: np.ndarray, col_lo: int, col_hi: int, height: int
-    ) -> bool:
-        window = (self._prefix[col_hi + 1] - self._prefix[col_lo]) * height
-        return bool(np.all(window >= need))
-
     def _place_one(
         self,
         rp_name: str,
         demand: ResourceVector,
-        occupied: Occupancy,
+        occupied: np.ndarray,
         utilization: Optional[float] = None,
     ) -> RegionAssignment:
         """Smallest legal rectangle covering the inflated demand.
@@ -233,66 +211,65 @@ class FloraFloorplanner:
         inflated = self._inflated(demand, utilization)
         need = np.array([inflated.get(kind) for kind in self._kinds], dtype=np.int64)
         device = self.device
-        grid = self._occupancy_grid(occupied)
         num_columns = device.num_columns
         columns = self._column_indices
+        heights = np.arange(1, self.max_height + 1)
+        # A window of height h satisfies resource k iff its column sum
+        # reaches ceil(need_k / h) — both sides of "window * h >= need"
+        # are integers. So the minimal satisfying col_hi of an anchor
+        # depends on the height alone, never on the band's rows: one
+        # binary search per kind over the prefix sums serves every
+        # (height, anchor) pair. hi1[h - 1, a] is that col_hi plus one,
+        # or num_columns + 1 when the demand runs past the right edge.
+        hi1 = np.broadcast_to(columns + 1, (heights.size, num_columns))
+        for k in np.flatnonzero(need > 0):
+            prefix_k = self._prefix_by_kind[k]
+            thresholds = -(-need[k] // heights)[:, None]
+            hi1 = np.maximum(hi1, prefix_k.searchsorted(prefix_k[:-1] + thresholds))
+        widths = hi1 - columns
+        # blocked_sat[r, x]: blocked (occupied or forbidden) cells in rows
+        # [0, r) x columns [0, x) — a summed-area table, so band
+        # [row_lo, row_lo + h) holds no blocked cell in columns [a, hi1)
+        # iff its row difference is equal at columns a and hi1. The last
+        # column reads -r: its band difference is -h, which never equals
+        # a count, so anchors whose demand runs off the edge fail.
+        cells = (occupied | self._forbidden_mask[:, None]).T
+        blocked_sat = np.zeros((device.region_rows + 1, num_columns + 2), dtype=np.int32)
+        np.cumsum(
+            np.cumsum(cells, axis=0), axis=1, out=blocked_sat[1:, 1 : num_columns + 1]
+        )
+        blocked_sat[:, -1] = -np.arange(device.region_rows + 1)
         best: Optional[Pblock] = None
         best_key: Optional[Tuple[int, int, int]] = None
 
-        for height in range(1, self.max_height + 1):
+        for height in heights.tolist():
             # Any candidate of this height has area >= height (width is
             # at least one column), so once a best key exists no taller
             # band can beat or tie it — identical results, less work.
             if best_key is not None and height > best_key[0]:
                 break
-            # A window of this height satisfies resource k iff its
-            # column sum reaches ceil(need_k / height) — both sides of
-            # "window * height >= need" are integers.
-            thresholds = -(-need // height)
-            for row_lo in range(0, device.region_rows - height + 1):
-                blocked = self._forbidden_mask | grid[:, row_lo : row_lo + height].any(
-                    axis=1
+            # band[row_lo, x]: blocked cells of band row_lo in columns
+            # [0, x), every band of this height at once.
+            band = blocked_sat[height:] - blocked_sat[:-height]
+            feasible = band.take(hi1[height - 1], axis=1) == band[:, :num_columns]
+            # Area is width x height, so within a height the key
+            # (area, col_lo, row_lo) orders by width, then anchor (argmin
+            # takes the first, leftmost minimum), then the lowest band.
+            width = np.where(feasible.any(axis=0), widths[height - 1], num_columns + 1)
+            col_lo = int(width.argmin())
+            if width[col_lo] > num_columns:
+                continue  # no feasible anchor in any band
+            row_lo = int(feasible[:, col_lo].argmax())
+            key = (int(width[col_lo]) * height, col_lo, row_lo)
+            if best_key is None or key < best_key:
+                best = Pblock(
+                    name=f"pblock_{rp_name}",
+                    col_lo=col_lo,
+                    col_hi=int(hi1[height - 1, col_lo]) - 1,
+                    row_lo=row_lo,
+                    row_hi=row_lo + height - 1,
                 )
-                anchors = np.nonzero(~blocked)[0]
-                if anchors.size == 0:
-                    continue
-                # Minimal satisfying col_hi per anchor: one binary
-                # search per resource kind over the prefix sums.
-                hi = anchors.copy()
-                feasible = np.ones(anchors.size, dtype=bool)
-                for k, threshold in enumerate(thresholds):
-                    if threshold <= 0:
-                        continue
-                    prefix_k = self._prefix_by_kind[k]
-                    hi_plus1 = np.searchsorted(
-                        prefix_k, prefix_k[anchors] + threshold, side="left"
-                    )
-                    feasible &= hi_plus1 <= num_columns
-                    np.maximum(hi, hi_plus1 - 1, out=hi)
-                # The window may not cross a blocked column: col_hi must
-                # stay below the next blocked index at/after the anchor.
-                # A fully unblocked band needs no run bookkeeping.
-                if anchors.size < num_columns:
-                    next_blocked = np.minimum.accumulate(
-                        np.where(blocked, columns, num_columns)[::-1]
-                    )[::-1]
-                    feasible &= hi < next_blocked[anchors]
-                if not feasible.any():
-                    continue
-                anchor_ok = anchors[feasible]
-                hi_ok = hi[feasible]
-                area = (hi_ok - anchor_ok + 1) * height
-                pick = np.lexsort((anchor_ok, area))[0]
-                key = (int(area[pick]), int(anchor_ok[pick]), row_lo)
-                if best_key is None or key < best_key:
-                    best = Pblock(
-                        name=f"pblock_{rp_name}",
-                        col_lo=int(anchor_ok[pick]),
-                        col_hi=int(hi_ok[pick]),
-                        row_lo=row_lo,
-                        row_hi=row_lo + height - 1,
-                    )
-                    best_key = key
+                best_key = key
 
         if best is None:
             raise FloorplanError(
@@ -314,22 +291,44 @@ class ReferenceFloraFloorplanner(FloraFloorplanner):
     O(1) prefix-sum check per step. Orders of magnitude slower than the
     vectorized planner but trivially auditable; the equivalence tests
     assert both produce identical :class:`Floorplan`s (relaxation
-    ladder included) on seeded random demand sets.
+    ladder included) on seeded random demand sets. Occupancy is a set
+    of (col, row) cells rather than the planner's boolean grid.
     """
 
-    def _empty_occupancy(self) -> Occupancy:
+    def _empty_occupancy(self) -> Set[Tuple[int, int]]:
         return set()
 
-    def _mark_occupied(self, occupied: Occupancy, pb: Pblock) -> None:
+    def _mark_occupied(self, occupied: Set[Tuple[int, int]], pb: Pblock) -> None:
         for col in range(pb.col_lo, pb.col_hi + 1):
             for row in range(pb.row_lo, pb.row_hi + 1):
                 occupied.add((col, row))
+
+    @staticmethod
+    def _unblocked_runs(blocked: np.ndarray) -> List[Tuple[int, int]]:
+        """Maximal inclusive [lo, hi] runs of False in a boolean mask."""
+        runs: List[Tuple[int, int]] = []
+        start: Optional[int] = None
+        for index, is_blocked in enumerate(blocked):
+            if not is_blocked and start is None:
+                start = index
+            elif is_blocked and start is not None:
+                runs.append((start, index - 1))
+                start = None
+        if start is not None:
+            runs.append((start, len(blocked) - 1))
+        return runs
+
+    def _window_satisfies(
+        self, need: np.ndarray, col_lo: int, col_hi: int, height: int
+    ) -> bool:
+        window = (self._prefix[col_hi + 1] - self._prefix[col_lo]) * height
+        return bool(np.all(window >= need))
 
     def _place_one(
         self,
         rp_name: str,
         demand: ResourceVector,
-        occupied: Occupancy,
+        occupied: Set[Tuple[int, int]],
         utilization: Optional[float] = None,
     ) -> RegionAssignment:
         inflated = self._inflated(demand, utilization)
@@ -349,7 +348,7 @@ class ReferenceFloraFloorplanner(FloraFloorplanner):
                     ]
                 )
                 # Two-pointer sweep within each maximal unblocked run.
-                for run_lo, run_hi in _unblocked_runs(blocked):
+                for run_lo, run_hi in self._unblocked_runs(blocked):
                     col_hi = run_lo
                     for col_lo in range(run_lo, run_hi + 1):
                         col_hi = max(col_hi, col_lo)

@@ -22,7 +22,12 @@ that *might* diverge.
 
 The cache itself is two-tiered. The in-memory tier is a bounded LRU of
 *pickled* results — ``get`` deserializes a private copy per call, so a
-caller mutating a served result can never poison later hits. The
+caller mutating a served result can never poison later hits. Only
+mutable state needs that copy: values that are immutable all the way
+down (frozen dataclasses of atoms and tuples, such as the SoC config,
+resource vectors, pblocks and stage traces) are pickled by reference
+and shared by every served copy, which cuts a hit's deserialization to
+the mutable remainder (the RTL tree, lists, dicts). The
 optional on-disk tier (``~/.cache/repro-flow/`` or a caller-supplied
 directory) persists entries across processes; disk hits are promoted
 into memory. Hit/miss/eviction counters land in an
@@ -31,15 +36,18 @@ into memory. Hit/miss/eviction counters land in an
 
 from __future__ import annotations
 
+import enum
 import hashlib
+import io
 import itertools
 import json
 import os
 import pickle
 import threading
+import weakref
 from collections import OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.errors import FlowError
 from repro.obs.logconfig import get_logger
@@ -56,7 +64,7 @@ logger = get_logger("flow.cache")
 
 #: Bump when the digest layout or the pickled payload schema changes;
 #: old on-disk entries then simply stop matching.
-CACHE_SCHEMA_VERSION = 2
+CACHE_SCHEMA_VERSION = 3
 
 
 def default_disk_dir() -> Path:
@@ -116,6 +124,28 @@ def model_fingerprint(model: RuntimeModel) -> Dict:
     }
 
 
+def _canonical_json(document: Dict) -> str:
+    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+
+
+#: Canonical config JSON by config identity. A SocConfig is frozen all
+#: the way down (tiles, mode tuples, accelerator IPs and resource
+#: vectors are frozen dataclasses), so one object always fingerprints
+#: the same; a warm lookup then skips rebuilding and re-encoding the
+#: fingerprint. Entries leave when their config is collected.
+_CONFIG_JSON: Dict[int, str] = {}
+
+
+def _config_json(config: SocConfig) -> str:
+    key = id(config)
+    text = _CONFIG_JSON.get(key)
+    if text is None:
+        text = _canonical_json(config_fingerprint(config))
+        _CONFIG_JSON[key] = text
+        weakref.finalize(config, _CONFIG_JSON.pop, key, None)
+    return text
+
+
 def flow_cache_key(
     flow: "DprFlow",
     config: SocConfig,
@@ -125,7 +155,6 @@ def flow_cache_key(
     """SHA-256 digest of everything a ``flow.build()`` call reads."""
     payload = {
         "version": CACHE_SCHEMA_VERSION,
-        "config": config_fingerprint(config),
         "model": model_fingerprint(flow.model),
         "options": {
             "max_instances": flow.max_instances,
@@ -150,8 +179,73 @@ def flow_cache_key(
             "semi_tau": semi_tau,
         },
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(_config_json(config).encode("utf-8"))
+    digest.update(_canonical_json(payload).encode("utf-8"))
+    return digest.hexdigest()
+
+
+# ----------------------------------------------------------------------
+# payloads: mutable state pickled, immutable values shared
+# ----------------------------------------------------------------------
+#: Leaves that pickle faster inline than through a persistent reference.
+_ATOM_TYPES = frozenset({str, int, float, bool, type(None), bytes})
+
+
+def _is_value(obj: object, memo: Dict[int, bool]) -> bool:
+    """True if ``obj`` is immutable all the way down: an atom, an enum
+    member, a tuple or frozenset of values, or a frozen dataclass whose
+    instance attributes are all values (a cached_property's dict
+    disqualifies it)."""
+    kind = type(obj)
+    if kind in _ATOM_TYPES or isinstance(obj, enum.Enum):
+        return True
+    known = memo.get(id(obj))
+    if known is not None:
+        return known
+    memo[id(obj)] = False  # a cycle is never treated as a value
+    params = getattr(kind, "__dataclass_params__", None)
+    if kind is tuple or kind is frozenset:
+        items = obj
+    elif params is not None and params.frozen and hasattr(obj, "__dict__"):
+        items = vars(obj).values()
+    else:
+        return False
+    for item in items:
+        if type(item) not in _ATOM_TYPES and not _is_value(item, memo):
+            return False
+    memo[id(obj)] = True
+    return True
+
+
+class _SharingPickler(pickle.Pickler):
+    """Pickles mutable state; collects immutable values by reference."""
+
+    def __init__(self, file: io.BytesIO) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.shared: List[object] = []
+        self._values: Dict[int, bool] = {}
+
+    def persistent_id(self, obj: object) -> Optional[int]:
+        if type(obj) in _ATOM_TYPES or not _is_value(obj, self._values):
+            return None
+        self.shared.append(obj)
+        return len(self.shared) - 1
+
+
+class _SharingUnpickler(pickle.Unpickler):
+    def __init__(self, payload: bytes, shared: Tuple[object, ...]) -> None:
+        super().__init__(io.BytesIO(payload))
+        self._shared = shared
+
+    def persistent_load(self, pid: int) -> object:
+        return self._shared[pid]
+
+
+def _dumps_sharing(result: "FlowResult") -> Tuple[bytes, Tuple[object, ...]]:
+    buffer = io.BytesIO()
+    pickler = _SharingPickler(buffer)
+    pickler.dump(result)
+    return buffer.getvalue(), tuple(pickler.shared)
 
 
 # ----------------------------------------------------------------------
@@ -185,7 +279,10 @@ class FlowCache:
         elif disk_dir is False:
             disk_dir = None
         self.disk_dir: Optional[Path] = Path(disk_dir) if disk_dir else None
-        self._memory: "OrderedDict[str, bytes]" = OrderedDict()
+        #: key -> (pickled mutable state, the values it references)
+        self._memory: "OrderedDict[str, Tuple[bytes, Tuple[object, ...]]]" = (
+            OrderedDict()
+        )
         # The service daemon's worker threads share one cache; the lock
         # keeps the LRU bookkeeping (move_to_end/popitem) and the stat
         # mirrors coherent under concurrent get/put. Disk-tier tmp
@@ -250,12 +347,12 @@ class FlowCache:
         self._requests.inc()
         with self._lock:
             self._stat["requests"] += 1
-            payload = self._memory.get(key)
-            if payload is not None:
+            entry = self._memory.get(key)
+            if entry is not None:
                 self._memory.move_to_end(key)
                 self._hits.inc(tier="memory")
                 self._stat["hits_memory"] += 1
-                return pickle.loads(payload)
+                return _SharingUnpickler(*entry).load()
         # Disk I/O happens outside the lock — only the promotion into
         # the memory tier re-enters it.
         payload = self._disk_read(key)
@@ -266,7 +363,9 @@ class FlowCache:
                 self._count_disk_error()
                 self._disk_evict(key)
             else:
-                self._memory_store(key, payload)
+                # A disk entry is self-contained: promoted as-is, it
+                # shares nothing.
+                self._memory_store(key, (payload, ()))
                 self._hits.inc(tier="disk")
                 with self._lock:
                     self._stat["hits_disk"] += 1
@@ -278,16 +377,18 @@ class FlowCache:
 
     def put(self, key: str, result: "FlowResult") -> None:
         """Store ``result`` in both tiers."""
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        self._memory_store(key, payload)
-        self._disk_write(key, payload)
+        self._memory_store(key, _dumps_sharing(result))
+        if self.disk_dir is not None:
+            self._disk_write(
+                key, pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+            )
 
     # ------------------------------------------------------------------
     # memory tier
     # ------------------------------------------------------------------
-    def _memory_store(self, key: str, payload: bytes) -> None:
+    def _memory_store(self, key: str, entry: Tuple[bytes, Tuple[object, ...]]) -> None:
         with self._lock:
-            self._memory[key] = payload
+            self._memory[key] = entry
             self._memory.move_to_end(key)
             while len(self._memory) > self.max_entries:
                 evicted, _ = self._memory.popitem(last=False)

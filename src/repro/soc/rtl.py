@@ -46,6 +46,24 @@ class Module:
     clock_modifying: bool = False
     route_through: bool = False
 
+    def __reduce__(self):
+        # Constructor arguments unpickle markedly faster than the default
+        # per-instance attribute dict, and a cached flow result carries
+        # the design's whole RTL tree: the flow cache unpickles one on
+        # every hit.
+        return (
+            Module,
+            (
+                self.name,
+                self.luts,
+                self.children,
+                self.reconfigurable,
+                self.black_box,
+                self.clock_modifying,
+                self.route_through,
+            ),
+        )
+
     def add(self, child: "Module") -> "Module":
         """Append a child and return it (builder style)."""
         self.children.append(child)

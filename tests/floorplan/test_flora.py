@@ -59,6 +59,17 @@ class TestSinglePlacement:
         with pytest.raises(FloorplanError):
             FloraFloorplanner(device, target_utilization=1.5)
 
+    @pytest.mark.parametrize("max_height", [0, -1])
+    def test_bad_max_height_rejected(self, device, max_height):
+        # 0 used to fall through to full height and a negative cap to an
+        # empty height range that failed every plan as "does not fit".
+        with pytest.raises(FloorplanError, match="max height"):
+            FloraFloorplanner(device, max_height_regions=max_height)
+
+    def test_max_height_above_device_is_full_height(self, device):
+        planner = FloraFloorplanner(device, max_height_regions=device.region_rows + 5)
+        assert planner.max_height == device.region_rows
+
 
 class TestMultiPlacement:
     def test_no_overlaps(self, device):

@@ -15,6 +15,8 @@ import random
 import pytest
 
 from repro.errors import FloorplanError
+from repro.fabric.device import ColumnKind, Device
+from repro.fabric.pblock import Pblock
 from repro.fabric.parts import PART_CATALOG, make_device
 from repro.fabric.resources import ResourceVector
 from repro.floorplan.flora import FloraFloorplanner, ReferenceFloraFloorplanner
@@ -105,6 +107,46 @@ class TestSeededEquivalence:
             ("rp2", ResourceVector(lut=5000, ff=4000, bram=16, dsp=16)),
         ]
         plans_agree(device, demands)
+
+    @pytest.mark.parametrize("board", ["vcu118", "vcu128"])
+    @pytest.mark.parametrize("count", [7, 9, 12])
+    def test_many_rps_on_twelve_row_parts_match(self, board, count):
+        # The largest builds of the flow sweep: many regions on the
+        # 12-region-row parts, where every height has up to 12 bands.
+        device = make_device(board)
+        assert device.region_rows == 12
+        rng = random.Random(f"many:{board}:{count}")
+        demands = random_demands(rng, device, count=count, utilization=0.4)
+        plans_agree(device, demands)
+
+    @pytest.mark.parametrize("max_height", [2, 3, 6])
+    def test_intermediate_height_caps_match(self, max_height):
+        device = make_device("vcu118")
+        rng = random.Random(f"cap:{max_height}")
+        outcomes = []
+        for utilization in (0.1, 0.4):
+            demands = random_demands(rng, device, count=5, utilization=utilization)
+            outcomes.append(plans_agree(device, demands, max_height_regions=max_height))
+        assert outcomes[0] is not None  # a capped plan, not only failures
+
+    def test_height_tie_goes_to_the_shorter_band(self):
+        # One inflated demand of 200 LUTs on 100-LUT column segments:
+        # two columns x one row and one column x two rows both have area
+        # 2 at column 0, row 0 — the same (area, col_lo, row_lo) key.
+        # The shorter band is scanned first and must keep the win.
+        device = Device(
+            "tie",
+            columns=[ColumnKind.CLB] * 4,
+            region_rows=2,
+            region_cols=1,
+            segment_resources={ColumnKind.CLB: ResourceVector(lut=100, ff=200)},
+        )
+        demands = [("rp0", ResourceVector(lut=140, ff=140))]
+        assert device.rect_resources(0, 0, 0, 1).lut >= 200  # the tall twin fits
+        plan = plans_agree(device, demands, target_utilization=0.7)
+        assert plan.pblocks() == [
+            Pblock(name="pblock_rp0", col_lo=0, col_hi=1, row_lo=0, row_hi=0)
+        ]
 
     def test_reference_is_meaningfully_slower_shape(self):
         # Not a benchmark — just pins that the two classes really are

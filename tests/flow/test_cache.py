@@ -1,6 +1,8 @@
 """Tests for the content-addressed flow cache."""
 
 import pickle
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import pytest
 
@@ -9,6 +11,7 @@ from repro.core.strategy import ImplementationStrategy
 from repro.errors import FlowError
 from repro.flow.cache import (
     FlowCache,
+    _is_value,
     config_fingerprint,
     default_disk_dir,
     flow_cache_key,
@@ -141,6 +144,42 @@ class TestCorrectness:
         first.bitstreams.clear()
         again = cache.get(key)
         assert again.to_summary_dict() == baseline
+
+    def test_hits_share_immutable_values_and_copy_mutable_state(self, flow, soc):
+        cache = FlowCache()
+        key = flow_cache_key(flow, soc)
+        fresh = flow.build(soc)
+        cache.put(key, fresh)
+        first, second = cache.get(key), cache.get(key)
+        # Frozen-all-the-way-down values are shared, never re-created...
+        assert first.config is second.config is fresh.config
+        assert first.stages[0] is second.stages[0]
+        # ...while everything a caller can mutate is its own copy.
+        assert first.bitstreams is not second.bitstreams
+        assert first.partition.rtl is not second.partition.rtl
+        assert first.partition.rtl == fresh.partition.rtl
+        # A node shared inside one result stays shared in its copy.
+        wrapper = first.partition.rps[0].wrapper
+        assert any(node is wrapper for node in first.partition.rtl.walk())
+
+    def test_only_deep_values_are_shared(self):
+        @dataclass(frozen=True)
+        class Holder:
+            items: Tuple
+            notes: List[str]
+
+        assert _is_value(("a", 1, 2.5, None, ImplementationStrategy.SERIAL), {})
+        assert _is_value(STOCK_ACCELERATORS["fft"], {})
+        assert not _is_value(("a", []), {})
+        # Frozen does not mean immutable: a list field disqualifies it.
+        assert not _is_value(Holder(items=(1,), notes=[]), {})
+
+    def test_same_config_object_keys_like_an_equal_copy(self, flow, soc):
+        # The key memoizes a config's canonical form by identity; an
+        # equal config rebuilt from scratch must still get the same key.
+        twin = pickle.loads(pickle.dumps(soc))
+        assert twin is not soc
+        assert flow_cache_key(flow, soc) == flow_cache_key(flow, twin)
 
 
 class TestTiers:

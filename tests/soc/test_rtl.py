@@ -1,5 +1,7 @@
 """Tests for RTL hierarchy generation and DPR rule checking."""
 
+import dataclasses
+import pickle
 
 from repro.soc.rtl import Module, generate_rtl
 
@@ -11,6 +13,16 @@ class TestModuleTree:
         a.add(Module("a1"))
         root.add(Module("b"))
         assert [m.name for m in root.walk()] == ["root", "a", "a1", "b"]
+
+    def test_pickle_round_trip_keeps_fields_and_sharing(self):
+        root = Module("root", luts=3, black_box=True)
+        leaf = root.add(Module("rp", luts=7, reconfigurable=True, route_through=True))
+        root.add(Module("clk", clock_modifying=True))
+        copy_root, copy_leaf = pickle.loads(pickle.dumps((root, leaf)))
+        assert copy_root == root
+        assert copy_root.children[0] is copy_leaf
+        # The compact reduce must name every field the dataclass has.
+        assert len(root.__reduce__()[1]) == len(dataclasses.fields(Module))
 
     def test_total_luts_sums_subtree(self):
         root = Module("root", luts=1)

@@ -8,11 +8,12 @@ path, warm worker pool) against regression:
 1. the fig4_smoke workload (build + 2-frame deployment) finishes
    under a generous wall-clock ceiling, uninstrumented;
 2. ``flow.floorplan`` host self-time share of the fig4_smoke profile
-   stays below the committed pre-optimization share (it was 87.2% of
-   the workload before the placer was vectorized);
+   stays under about twice its measured share (87.2% before the placer
+   was vectorized, ~48% with a per-band loop, ~20% per band height);
 3. the aggregate ``flow.floorplan`` share of the full
-   fig4_wami_runtime profile stays far below its pre-optimization
-   ~82% (the placer must not reclaim the workload);
+   fig4_wami_runtime profile likewise stays under about twice its
+   measured share (~82%, ~30%, ~10% in the same three regimes), so a
+   placer that falls back to the per-band loop fails both;
 4. the analytic NoC backend still matches the cycle-level simulator
    exactly at zero load on every fig4 fetch path.
 
@@ -36,17 +37,15 @@ from repro.obs.profdiff import self_time_shares
 from repro.obs.profiler import load_profile
 from repro.soc.tiles import TileKind
 
-#: Host self-time share of ``flow.floorplan`` in the fig4_smoke
-#: profile before the placer was vectorized (committed pre-PR
-#: baseline). The share must never climb back to the old regime.
-PRE_PR_FLOORPLAN_SHARE = 0.872
+#: Ceiling on the host self-time share of ``flow.floorplan`` in the
+#: fig4_smoke profile: about twice the measured 18-21% (5 runs). The
+#: per-band placer it replaced measured 41-51%.
+SMOKE_FLOORPLAN_SHARE_CEILING = 0.40
 
-#: Aggregate ``flow.floorplan`` share of fig4_wami_runtime before the
-#: optimization (~82% across the three deployments). The smoke gate
-#: sits at 50%: far above today's ~20%, far below the old regime, and
-#: insensitive to run-to-run jitter in which single frame tops the
-#: profile.
-RUNTIME_FLOORPLAN_SHARE_CEILING = 0.50
+#: Ceiling on the aggregate ``flow.floorplan`` share of
+#: fig4_wami_runtime (three deployments): about twice the measured
+#: 9.5-10.4% (5 runs). The per-band placer measured 24-31%.
+RUNTIME_FLOORPLAN_SHARE_CEILING = 0.20
 
 #: Generous uninstrumented wall ceiling for fig4_smoke (measured
 #: ~0.01 s on a warm interpreter; the ceiling absorbs slow CI hosts).
@@ -92,15 +91,15 @@ def main_smoke() -> None:
         f"{SMOKE_WALL_CEILING_S:.0f} s ceiling",
     )
 
-    # 2. The floorplanner stays off the old hot-path regime.
+    # 2. The floorplanner stays at its per-height cost.
     code, _ = run_cli(["profile", "fig4_smoke", "--out", str(out_dir)])
     check(code == 0, "repro profile fig4_smoke exits 0")
     smoke = load_profile(out_dir / "PROFILE_fig4_smoke.json")
     share = floorplan_share(smoke)
     check(
-        share < PRE_PR_FLOORPLAN_SHARE,
-        f"flow.floorplan self-time share {share:.1%} below pre-PR "
-        f"{PRE_PR_FLOORPLAN_SHARE:.1%}",
+        share < SMOKE_FLOORPLAN_SHARE_CEILING,
+        f"flow.floorplan self-time share {share:.1%} under "
+        f"{SMOKE_FLOORPLAN_SHARE_CEILING:.0%} (per-band placer ~48%)",
     )
 
     # 3. On the full runtime workload the placer stays a minor frame.
@@ -111,7 +110,7 @@ def main_smoke() -> None:
     check(
         runtime_share < RUNTIME_FLOORPLAN_SHARE_CEILING,
         f"fig4_wami_runtime flow.floorplan share {runtime_share:.1%} under "
-        f"{RUNTIME_FLOORPLAN_SHARE_CEILING:.0%} (pre-PR ~82%)",
+        f"{RUNTIME_FLOORPLAN_SHARE_CEILING:.0%} (per-band placer ~30%)",
     )
 
     # 4. Analytic NoC == cycle-level at zero load on every fetch path.
