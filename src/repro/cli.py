@@ -45,6 +45,7 @@ from repro.core.designs import (
 from repro.core.metrics import compute_metrics
 from repro.core.strategy import ImplementationStrategy, choose_strategy
 from repro.errors import PrEspError
+from repro.faults import check_rate
 from repro.flow.batch import BuildRequest
 from repro.flow.cache import FlowCache
 from repro.flow.options import BuildOptions
@@ -140,31 +141,78 @@ def cache_from_args(args) -> Optional[FlowCache]:
     return FlowCache(disk_dir=args.cache_dir or True)
 
 
-def parse_cad_injections(specs) -> list:
-    """``STAGE:JOB[:COUNT]`` flags -> (stage, job, count) triples."""
-    injections = []
+def parse_rate_specs(flag: str, specs, kinds) -> dict:
+    """``[KIND=]RATE`` flags -> {kind: rate}; a bare RATE sets every kind."""
+    choices = {k.value: k for k in kinds}
+    rates = {}
+    for spec in specs or []:
+        name, _, value = spec.rpartition("=")
+        try:
+            rate = float(value)
+        except ValueError:
+            raise PrEspError(f"bad {flag} {spec!r}; expected [KIND=]RATE") from None
+        if name and name not in choices:
+            raise PrEspError(
+                f"bad {flag} kind in {spec!r}; choose from " + ", ".join(sorted(choices))
+            )
+        check_rate(rate, flag, PrEspError)
+        for kind in [choices[name]] if name else list(kinds):
+            rates[kind] = rate
+    return rates
+
+
+def parse_colon_specs(flag: str, specs, metavar: str, kinds=()) -> list:
+    """Colon-separated flags -> one tuple per spec, following ``metavar``.
+
+    ``metavar`` is the grammar (``STAGE:JOB[:COUNT]``, ``KIND[:COUNT]``
+    ...): a bracketed last field is optional. ``COUNT`` parses as an
+    integer (default 1), ``KIND`` as a member of ``kinds`` (default the
+    first), and every other required field must be non-empty.
+    """
+    names = metavar.replace("[", "").replace("]", "").split(":")
+    required = metavar.split("[")[0].split(":")
+    choices = {k.value: k for k in kinds}
+    listing = ", ".join(sorted(choices))
+    malformed = f"expected {metavar}"
+    if "KIND" in required:
+        malformed += f" with KIND one of {listing}"
+    parsed = []
     for spec in specs or []:
         parts = spec.split(":")
-        if len(parts) not in (2, 3) or not parts[0] or not parts[1]:
-            raise PrEspError(
-                f"bad --inject-cad-fault {spec!r}; expected STAGE:JOB[:COUNT]"
-            )
-        try:
-            count = int(parts[2]) if len(parts) == 3 else 1
-        except ValueError:
-            raise PrEspError(
-                f"bad --inject-cad-fault count in {spec!r}; expected an integer"
-            ) from None
-        injections.append((parts[0], parts[1], count))
-    return injections
+        if not len(required) <= len(parts) <= len(names) or not all(
+            parts[: len(required)]
+        ):
+            raise PrEspError(f"bad {flag} {spec!r}; {malformed}")
+        values = []
+        for name, part in zip(names, parts):
+            if name == "COUNT":
+                try:
+                    values.append(int(part))
+                except ValueError:
+                    raise PrEspError(
+                        f"bad {flag} count in {spec!r}; expected an integer"
+                    ) from None
+            elif name == "KIND" and part not in choices:
+                if name in required:
+                    raise PrEspError(f"bad {flag} {spec!r}; {malformed}")
+                raise PrEspError(f"bad {flag} kind in {spec!r}; choose from {listing}")
+            else:
+                values.append(choices[part] if name == "KIND" else part)
+        if len(values) < len(names):
+            values.append(1 if names[-1] == "COUNT" else kinds[0])
+        parsed.append(tuple(values))
+    return parsed
 
 
 def faults_from_args(args):
     """The CAD fault model a build asked for (NO_FAULTS when healthy)."""
-    injections = parse_cad_injections(getattr(args, "inject_cad_fault", None))
+    injections = parse_colon_specs(
+        "--inject-cad-fault",
+        getattr(args, "inject_cad_fault", None),
+        "STAGE:JOB[:COUNT]",
+    )
     rate = getattr(args, "fault_rate", 0.0) or 0.0
-    if not 0.0 <= rate < 1.0:
-        raise PrEspError(f"--fault-rate must be in [0, 1), got {rate}")
+    check_rate(rate, "--fault-rate", PrEspError)
     if not injections and rate <= 0.0:
         return NO_FAULTS
     rates = {kind: rate for kind in JobKind} if rate > 0.0 else None
@@ -174,54 +222,19 @@ def faults_from_args(args):
     return model
 
 
-def parse_runtime_rates(specs) -> dict:
-    """``[KIND=]RATE`` flags -> {RuntimeFaultKind: rate}."""
-    kinds = {k.value: k for k in RuntimeFaultKind}
-    rates = {}
-    for spec in specs or []:
-        name, _, value = spec.rpartition("=")
-        try:
-            rate = float(value)
-        except ValueError:
-            raise PrEspError(
-                f"bad --runtime-fault-rate {spec!r}; expected [KIND=]RATE"
-            ) from None
-        if name and name not in kinds:
-            raise PrEspError(
-                f"bad --runtime-fault-rate kind in {spec!r}; choose from "
-                + ", ".join(sorted(kinds))
-            )
-        for kind in [kinds[name]] if name else list(RuntimeFaultKind):
-            rates[kind] = rate
-    return rates
-
-
-def parse_runtime_injections(specs) -> list:
-    """``TILE:MODE[:KIND]`` flags -> (tile, mode, kind) triples."""
-    kinds = {k.value: k for k in RuntimeFaultKind}
-    injections = []
-    for spec in specs or []:
-        parts = spec.split(":")
-        if len(parts) not in (2, 3) or not parts[0] or not parts[1]:
-            raise PrEspError(
-                f"bad --inject-runtime-fault {spec!r}; expected TILE:MODE[:KIND]"
-            )
-        kind = parts[2] if len(parts) == 3 else RuntimeFaultKind.BITSTREAM_CORRUPTION.value
-        if kind not in kinds:
-            raise PrEspError(
-                f"bad --inject-runtime-fault kind in {spec!r}; choose from "
-                + ", ".join(sorted(kinds))
-            )
-        injections.append((parts[0], parts[1], kinds[kind]))
-    return injections
-
-
 def runtime_faults_from_args(args) -> Optional[RuntimeFaultOptions]:
     """The runtime fault options a deployment asked for (None = healthy)."""
-    injections = parse_runtime_injections(
-        getattr(args, "inject_runtime_fault", None)
+    injections = parse_colon_specs(
+        "--inject-runtime-fault",
+        getattr(args, "inject_runtime_fault", None),
+        "TILE:MODE[:KIND]",
+        tuple(RuntimeFaultKind),
     )
-    rates = parse_runtime_rates(getattr(args, "runtime_fault_rate", None))
+    rates = parse_rate_specs(
+        "--runtime-fault-rate",
+        getattr(args, "runtime_fault_rate", None),
+        RuntimeFaultKind,
+    )
     if not injections and not rates:
         return None
     model = RuntimeFaultModel(
@@ -233,30 +246,6 @@ def runtime_faults_from_args(args) -> Optional[RuntimeFaultOptions]:
     return RuntimeFaultOptions(faults=model)
 
 
-def parse_service_rates(specs) -> dict:
-    """``[KIND=]RATE`` flags -> {ServiceFaultKind: rate}."""
-    from repro.service.faults import ServiceFaultKind
-
-    kinds = {k.value: k for k in ServiceFaultKind}
-    rates = {}
-    for spec in specs or []:
-        name, _, value = spec.rpartition("=")
-        try:
-            rate = float(value)
-        except ValueError:
-            raise PrEspError(
-                f"bad --service-fault-rate {spec!r}; expected [KIND=]RATE"
-            ) from None
-        if name and name not in kinds:
-            raise PrEspError(
-                f"bad --service-fault-rate kind in {spec!r}; choose from "
-                + ", ".join(sorted(kinds))
-            )
-        for kind in [kinds[name]] if name else list(ServiceFaultKind):
-            rates[kind] = rate
-    return rates
-
-
 def service_faults_from_args(args):
     """The service fault model a daemon run asked for (disabled = None)."""
     from repro.service.faults import (
@@ -265,24 +254,17 @@ def service_faults_from_args(args):
         ServiceFaultModel,
     )
 
-    kinds = {k.value: k for k in ServiceFaultKind}
-    injections = []
-    for spec in getattr(args, "inject_service_fault", None) or []:
-        parts = spec.split(":")
-        if len(parts) not in (1, 2) or parts[0] not in kinds:
-            raise PrEspError(
-                f"bad --inject-service-fault {spec!r}; expected KIND[:COUNT] "
-                "with KIND one of " + ", ".join(sorted(kinds))
-            )
-        try:
-            count = int(parts[1]) if len(parts) == 2 else 1
-        except ValueError:
-            raise PrEspError(
-                f"bad --inject-service-fault count in {spec!r}; expected an "
-                "integer"
-            ) from None
-        injections.append((kinds[parts[0]], count))
-    rates = parse_service_rates(getattr(args, "service_fault_rate", None))
+    injections = parse_colon_specs(
+        "--inject-service-fault",
+        getattr(args, "inject_service_fault", None),
+        "KIND[:COUNT]",
+        tuple(ServiceFaultKind),
+    )
+    rates = parse_rate_specs(
+        "--service-fault-rate",
+        getattr(args, "service_fault_rate", None),
+        ServiceFaultKind,
+    )
     if not injections and not rates:
         return NO_SERVICE_FAULTS
     model = ServiceFaultModel(
@@ -515,21 +497,7 @@ def cmd_deploy(args) -> int:
 
 def parse_injections(specs) -> list:
     """``TILE:MODE[:COUNT]`` flags -> (tile, mode, count) triples."""
-    injections = []
-    for spec in specs or []:
-        parts = spec.split(":")
-        if len(parts) not in (2, 3) or not parts[0] or not parts[1]:
-            raise PrEspError(
-                f"bad --inject-failure {spec!r}; expected TILE:MODE[:COUNT]"
-            )
-        try:
-            count = int(parts[2]) if len(parts) == 3 else 1
-        except ValueError:
-            raise PrEspError(
-                f"bad --inject-failure count in {spec!r}; expected an integer"
-            ) from None
-        injections.append((parts[0], parts[1], count))
-    return injections
+    return parse_colon_specs("--inject-failure", specs, "TILE:MODE[:COUNT]")
 
 
 def cmd_monitor(args) -> int:

@@ -39,7 +39,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import io
-import itertools
 import json
 import os
 import pickle
@@ -49,6 +48,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
+from repro.atomic import atomic_write
 from repro.errors import FlowError
 from repro.obs.logconfig import get_logger
 from repro.obs.metrics import NULL_METRICS
@@ -285,11 +285,8 @@ class FlowCache:
         )
         # The service daemon's worker threads share one cache; the lock
         # keeps the LRU bookkeeping (move_to_end/popitem) and the stat
-        # mirrors coherent under concurrent get/put. Disk-tier tmp
-        # files are named per writer from this counter (itertools.count
-        # is GIL-atomic), so two writers never share a tmp path.
+        # mirrors coherent under concurrent get/put.
         self._lock = threading.RLock()
-        self._tmp_ids = itertools.count()
         self._requests = metrics.counter(
             "flow_cache_requests_total", "flow-cache lookups"
         )
@@ -421,33 +418,19 @@ class FlowCache:
             return None
 
     def _disk_write(self, key: str, payload: bytes) -> None:
-        """Publish one entry via a writer-unique tmp + atomic rename.
+        """Publish one entry with :func:`~repro.atomic.atomic_write`.
 
-        Two concurrent writers of the same key (service worker threads,
-        or two daemon processes sharing a disk dir) used to race on one
-        shared ``<key>.tmp`` name: writer B could truncate the file
-        while writer A's ``os.replace`` was in flight, publishing a
-        torn entry. Naming the tmp per writer (pid + per-cache counter)
-        makes each rename claim atomic and complete; both writers
-        serialize the identical pickled payload for a given content
-        digest, so whichever rename lands last is equally correct.
+        Concurrent writers of one key (service worker threads, or two
+        daemons sharing a disk dir) each rename their own tmp file;
+        both serialize the identical payload for a content digest, so
+        whichever rename lands last is equally correct.
         """
         if self.disk_dir is None:
             return
-        final = self._disk_path(key)
-        tmp = final.with_name(
-            f".{key}.{os.getpid()}.{next(self._tmp_ids)}.tmp"
-        )
         try:
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(payload)
-            os.replace(tmp, final)
+            atomic_write(self._disk_path(key), payload)
         except OSError:
             self._count_disk_error()
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
 
     def _disk_evict(self, key: str) -> None:
         if self.disk_dir is None:

@@ -19,19 +19,20 @@ Resume is content-keyed: ``repro build --resume`` only restores stages
 whose manifest key matches the current (config, model, options,
 request, fault/retry policy) digest — a checkpoint from a different
 build is silently ignored rather than trusted. Writes are atomic
-(tmp-then-rename), and the manifest is rewritten after every stage so
-the directory is always consistent with *some* prefix of the build.
+(:func:`~repro.atomic.atomic_write`), and the manifest is rewritten
+after every stage so the directory is always consistent with *some*
+prefix of the build.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
+from repro.atomic import atomic_write
 from repro.errors import FlowError
 from repro.obs.logconfig import get_logger
 
@@ -114,16 +115,9 @@ class FlowCheckpointer:
                 for record in self._stages.values()
             ],
         }
-        self._atomic_write(
+        atomic_write(
             self._manifest_path(), json.dumps(payload, indent=2).encode("utf-8")
         )
-
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
 
     # ------------------------------------------------------------------
     # stages
@@ -141,7 +135,7 @@ class FlowCheckpointer:
     ) -> None:
         """Persist one completed stage (payload first, then manifest)."""
         file_name = f"{stage}.pkl"
-        self._atomic_write(
+        atomic_write(
             self.directory / file_name,
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
         )
@@ -182,7 +176,7 @@ class FlowCheckpointer:
 
     def save_job(self, job_name: str, payload: object) -> None:
         """Persist one completed tool job inside a running stage."""
-        self._atomic_write(
+        atomic_write(
             self._job_path(job_name),
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
         )

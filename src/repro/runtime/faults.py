@@ -1,17 +1,14 @@
 """A deterministic runtime fault model with watchdog/recovery policy.
 
-The DES-side mirror of :mod:`repro.vivado.faults`: where the CAD model
-loses Vivado jobs, this one loses *runtime* operations — corrupted
-partial bitstreams, wedged DFXC transfers and hung accelerators — the
-failure modes a deployed DPR SoC actually sees. Everything is modelled
-deterministically on the simulated clock:
+Where the CAD tier loses Vivado jobs, this one loses *runtime*
+operations — corrupted partial bitstreams, wedged DFXC transfers and
+hung accelerators — the failure modes a deployed DPR SoC actually
+sees. Everything is modelled deterministically on the simulated clock:
 
 * :class:`RuntimeFaultModel` — seeded per-:class:`RuntimeFaultKind`
-  failure probabilities plus targeted :meth:`~RuntimeFaultModel.inject`
-  arming. Every stochastic draw is a pure hash of ``(seed, kind, tile,
-  mode, attempt)``, so the fault timeline of a deployment depends only
-  on the seed and the operation identities — never on executor thread
-  order, ICAP queueing, or how many frames ran before.
+  failure probabilities (drawn by the :mod:`repro.faults` kernel,
+  keyed ``"transfer"``/``"invoke"``, tile, mode, attempt) plus
+  targeted :meth:`~RuntimeFaultModel.inject` arming.
 * :class:`RecoveryPolicy` — the watchdog: per-operation deadlines,
   bounded retries with exponential backoff (charged in simulated
   seconds), last-known-good bitstream fallback, and the quarantine
@@ -27,11 +24,17 @@ injection so a test cannot accidentally poison every other run.
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import ReconfigurationError
+from repro.faults import (
+    capped_backoff,
+    check_backoff,
+    check_rates,
+    rate_map,
+    stacked_draw,
+)
 
 #: Injection count meaning "every attempt fails until the tile is
 #: quarantined" — the CLI's default for ``--inject-runtime-fault``.
@@ -58,19 +61,6 @@ TRANSFER_KINDS = (
     RuntimeFaultKind.STUCK_TRANSFER,
 )
 
-
-def _unit_draw(*parts: object) -> float:
-    """A deterministic uniform draw in [0, 1) keyed by ``parts``.
-
-    SHA-256 over the joined key gives order-independence: the same
-    (seed, kind, tile, mode, attempt) tuple draws the same number
-    whichever executor thread asks first, in whatever frame.
-    """
-    key = "|".join(str(p) for p in parts).encode("utf-8")
-    digest = hashlib.sha256(key).digest()
-    return int.from_bytes(digest[:8], "big") / float(1 << 64)
-
-
 class RuntimeFaultModel:
     """Seeded, order-independent runtime operation failures.
 
@@ -96,24 +86,10 @@ class RuntimeFaultModel:
         seed: int = 0,
         rates: Optional[Mapping[RuntimeFaultKind, float]] = None,
     ) -> None:
-        for kind, rate in (rates or {}).items():
-            if not isinstance(kind, RuntimeFaultKind):
-                raise ReconfigurationError(
-                    f"fault rates must be keyed by RuntimeFaultKind, got {kind!r}"
-                )
-            if not 0.0 <= rate < 1.0:
-                raise ReconfigurationError(
-                    f"failure probability for {kind.value} must be in [0, 1), "
-                    f"got {rate}"
-                )
+        self.rates: Dict[RuntimeFaultKind, float] = check_rates(
+            rates, RuntimeFaultKind, ReconfigurationError, (TRANSFER_KINDS,)
+        )
         self.seed = seed
-        self.rates: Dict[RuntimeFaultKind, float] = dict(rates or {})
-        transfer_total = sum(self.rates.get(k, 0.0) for k in TRANSFER_KINDS)
-        if transfer_total >= 1.0:
-            raise ReconfigurationError(
-                "crc + stuck rates are stacked into one transfer draw and "
-                f"must sum below 1, got {transfer_total}"
-            )
         self._injected: Dict[Tuple[str, str, RuntimeFaultKind], int] = {}
         self._attempts: Dict[Tuple[str, str, str], int] = {}
         #: Faults this model produced, by kind (shared accounting for
@@ -171,6 +147,11 @@ class RuntimeFaultModel:
             return True
         return attempt - offset <= armed
 
+    def _count(self, kind: Optional[RuntimeFaultKind]) -> Optional[RuntimeFaultKind]:
+        if kind is not None:
+            self.drawn[kind] += 1
+        return kind
+
     def transfer_fault(
         self, tile_name: str, mode_name: str
     ) -> Optional[RuntimeFaultKind]:
@@ -181,47 +162,30 @@ class RuntimeFaultModel:
         decides between corruption, stuck, and healthy.
         """
         attempt = self._next_attempt(tile_name, mode_name, "transfer")
-        crc_armed = self._injected.get(
-            (tile_name, mode_name, RuntimeFaultKind.BITSTREAM_CORRUPTION), 0
-        )
-        if self._covered(
-            tile_name, mode_name, RuntimeFaultKind.BITSTREAM_CORRUPTION, attempt
-        ):
-            self.drawn[RuntimeFaultKind.BITSTREAM_CORRUPTION] += 1
-            return RuntimeFaultKind.BITSTREAM_CORRUPTION
-        if self._covered(
-            tile_name,
-            mode_name,
-            RuntimeFaultKind.STUCK_TRANSFER,
-            attempt,
-            offset=max(0, crc_armed),
-        ):
-            self.drawn[RuntimeFaultKind.STUCK_TRANSFER] += 1
-            return RuntimeFaultKind.STUCK_TRANSFER
-        draw = _unit_draw(self.seed, "transfer", tile_name, mode_name, attempt)
-        threshold = 0.0
-        for kind in TRANSFER_KINDS:
-            threshold += self.rates.get(kind, 0.0)
-            if draw < threshold:
-                self.drawn[kind] += 1
-                return kind
-        return None
+        crc, stuck = TRANSFER_KINDS
+        crc_armed = self._injected.get((tile_name, mode_name, crc), 0)
+        if self._covered(tile_name, mode_name, crc, attempt):
+            kind = crc
+        elif self._covered(tile_name, mode_name, stuck, attempt, max(0, crc_armed)):
+            kind = stuck
+        else:
+            kind = stacked_draw(
+                self.seed, TRANSFER_KINDS, self.rates,
+                "transfer", tile_name, mode_name, attempt,
+            )
+        return self._count(kind)
 
     def invoke_fault(self, tile_name: str, mode_name: str) -> bool:
         """True when the next invocation attempt for (tile, mode) hangs."""
         attempt = self._next_attempt(tile_name, mode_name, "invoke")
-        if self._covered(
-            tile_name, mode_name, RuntimeFaultKind.KERNEL_HANG, attempt
-        ):
-            self.drawn[RuntimeFaultKind.KERNEL_HANG] += 1
-            return True
-        rate = self.rates.get(RuntimeFaultKind.KERNEL_HANG, 0.0)
-        if rate <= 0.0:
-            return False
-        if _unit_draw(self.seed, "invoke", tile_name, mode_name, attempt) < rate:
-            self.drawn[RuntimeFaultKind.KERNEL_HANG] += 1
-            return True
-        return False
+        hang = RuntimeFaultKind.KERNEL_HANG
+        if self._covered(tile_name, mode_name, hang, attempt):
+            kind = hang
+        else:
+            kind = stacked_draw(
+                self.seed, (hang,), self.rates, "invoke", tile_name, mode_name, attempt
+            )
+        return self._count(kind) is not None
 
     # ------------------------------------------------------------------
     def fresh(self) -> "RuntimeFaultModel":
@@ -239,12 +203,7 @@ class RuntimeFaultModel:
         """Everything that can change a deployment's fault timeline."""
         return {
             "seed": self.seed,
-            "rates": {
-                kind.value: rate
-                for kind, rate in sorted(
-                    self.rates.items(), key=lambda kv: kv[0].value
-                )
-            },
+            "rates": rate_map(self.rates),
             "injected": {
                 f"{tile}/{mode}/{kind.value}": count
                 for (tile, mode, kind), count in sorted(
@@ -284,10 +243,10 @@ class RecoveryPolicy:
     """The manager's watchdog and recovery parameters.
 
     Retries of a failed transfer back off exponentially on the
-    *simulated* clock: the wait before attempt ``n`` (n >= 2) is
-    ``min(backoff_s * factor**(n - 2), cap_s) * (1 + j)`` with ``j`` a
-    seeded jitter draw in ``[0, jitter]``. ``max_attempts=2`` keeps the
-    manager's historical retry-once contract.
+    *simulated* clock: the wait before attempt ``n`` (n >= 2) is the
+    kernel's :func:`~repro.faults.capped_backoff` with exponent
+    ``n - 2``. ``max_attempts=2`` keeps the manager's historical
+    retry-once contract.
     """
 
     #: Transfer attempts before a reconfiguration is abandoned.
@@ -315,14 +274,9 @@ class RecoveryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1 or self.hang_max_attempts < 1:
             raise ReconfigurationError("recovery needs >= 1 attempt per operation")
-        if self.backoff_s < 0 or self.cap_s < 0:
-            raise ReconfigurationError("backoff and cap must be non-negative")
-        if self.factor < 1.0:
-            raise ReconfigurationError(
-                f"backoff factor must be >= 1, got {self.factor}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ReconfigurationError(f"jitter must be in [0, 1], got {self.jitter}")
+        check_backoff(
+            self.backoff_s, self.factor, self.cap_s, self.jitter, ReconfigurationError
+        )
         if self.reconfig_deadline_s <= 0:
             raise ReconfigurationError("reconfiguration deadline must be positive")
         if self.exec_deadline_factor <= 1.0:
@@ -348,11 +302,10 @@ class RecoveryPolicy:
         """
         if attempt <= 1:
             return 0.0
-        base = min(self.backoff_s * self.factor ** (attempt - 2), self.cap_s)
-        jitter = self.jitter * _unit_draw(
-            seed, "rbackoff", tile_name, mode_name, attempt
+        return capped_backoff(
+            self.backoff_s, self.factor, attempt - 2, self.cap_s, self.jitter,
+            seed, "rbackoff", tile_name, mode_name, attempt,
         )
-        return base * (1.0 + jitter)
 
 
 #: The default watchdog: retry-once with 2 ms backoff, 250 ms transfer

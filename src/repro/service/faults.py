@@ -4,17 +4,11 @@ The CAD layer loses Vivado jobs (:mod:`repro.vivado.faults`) and the
 runtime loses reconfigurations (:mod:`repro.runtime.faults`); this
 module models what the *daemon's own machinery* loses — crashed worker
 threads, workers that wedge and never return, job-store writes that
-hit transient IO errors, and writes torn mid-flight. Same discipline
-as its two siblings:
-
-* every stochastic draw is a pure SHA-256 hash of ``(seed, kind,
-  job_id, attempt)``, so the fault timeline of a daemon run depends
-  only on the seed and the job identities — never on worker-thread
-  interleaving, queue order, or how many restarts came before;
-* targeted :meth:`ServiceFaultModel.inject` arming consumes counts in
-  attempt order, for tests and the ``--inject-service-fault`` CLI;
-* :data:`NO_SERVICE_FAULTS` is the always-healthy shared model that
-  refuses injection so one test cannot poison every other run.
+hit transient IO errors, and writes torn mid-flight. Stochastic draws
+come from the :mod:`repro.faults` kernel, keyed by identities that
+survive a restart; targeted :meth:`ServiceFaultModel.inject` arming
+consumes counts in order, for tests and the ``--inject-service-fault``
+CLI; :data:`NO_SERVICE_FAULTS` is the always-healthy shared model.
 
 The supervisor consults the model at the top of each job attempt
 (``WORKER_CRASH`` / ``SLOW_WORKER``) and the :class:`~repro.service.
@@ -27,11 +21,11 @@ the corrupted artifact, and recovery must shrug the junk off.
 from __future__ import annotations
 
 import enum
-import hashlib
 import threading
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import PrEspError
+from repro.faults import capped_backoff, check_rates, rate_map, stacked_draw
 
 
 class ServiceFaultError(PrEspError):
@@ -75,18 +69,6 @@ EXECUTION_KINDS = (ServiceFaultKind.WORKER_CRASH, ServiceFaultKind.SLOW_WORKER)
 STORE_KINDS = (ServiceFaultKind.STORE_IO, ServiceFaultKind.TORN_WRITE)
 
 
-def _unit_draw(*parts: object) -> float:
-    """A deterministic uniform draw in [0, 1) keyed by ``parts``.
-
-    SHA-256 over the joined key gives order-independence: the same
-    (seed, kind, job_id, attempt) tuple draws the same number
-    whichever worker thread asks first, before or after any restart.
-    """
-    key = "|".join(str(p) for p in parts).encode("utf-8")
-    digest = hashlib.sha256(key).digest()
-    return int.from_bytes(digest[:8], "big") / float(1 << 64)
-
-
 class ServiceFaultModel:
     """Seeded, order-independent service-tier failures.
 
@@ -110,27 +92,12 @@ class ServiceFaultModel:
         rates: Optional[Mapping[ServiceFaultKind, float]] = None,
         hang_s: float = 30.0,
     ) -> None:
-        for kind, rate in (rates or {}).items():
-            if not isinstance(kind, ServiceFaultKind):
-                raise PrEspError(
-                    f"fault rates must be keyed by ServiceFaultKind, got {kind!r}"
-                )
-            if not 0.0 <= rate < 1.0:
-                raise PrEspError(
-                    f"failure probability for {kind.value} must be in [0, 1), "
-                    f"got {rate}"
-                )
+        self.rates: Dict[ServiceFaultKind, float] = check_rates(
+            rates, ServiceFaultKind, PrEspError, (EXECUTION_KINDS, STORE_KINDS)
+        )
         if hang_s <= 0:
             raise PrEspError(f"hang_s must be positive, got {hang_s}")
         self.seed = int(seed)
-        self.rates: Dict[ServiceFaultKind, float] = dict(rates or {})
-        for pair, label in ((EXECUTION_KINDS, "crash + slow"), (STORE_KINDS, "io + torn")):
-            total = sum(self.rates.get(k, 0.0) for k in pair)
-            if total >= 1.0:
-                raise PrEspError(
-                    f"{label} rates are stacked into one draw and must sum "
-                    f"below 1, got {total}"
-                )
         #: How long a SLOW_WORKER fault wedges before giving up on its
         #: own (the watchdog normally abandons it much earlier).
         self.hang_s = float(hang_s)
@@ -173,23 +140,16 @@ class ServiceFaultModel:
                 return kind
         return None
 
-    def _record(self, kind: ServiceFaultKind) -> ServiceFaultKind:
-        self.fired[kind.value] = self.fired.get(kind.value, 0) + 1
-        return kind
-
-    def _stacked_draw(
-        self,
-        kinds: Tuple[ServiceFaultKind, ...],
-        *key: object,
+    def _fire(
+        self, kinds: Tuple[ServiceFaultKind, ...], *key: object
     ) -> Optional[ServiceFaultKind]:
-        """One draw shared by ``kinds``: at most one fires."""
-        draw = _unit_draw(self.seed, "/".join(k.value for k in kinds), *key)
-        threshold = 0.0
-        for kind in kinds:
-            threshold += self.rates.get(kind, 0.0)
-            if draw < threshold:
-                return kind
-        return None
+        """An armed injection of ``kinds``, else one stacked draw."""
+        kind = self._consume_injection(kinds)
+        if kind is None:
+            kind = stacked_draw(self.seed, kinds, self.rates, *key)
+        if kind is not None:
+            self.fired[kind.value] = self.fired.get(kind.value, 0) + 1
+        return kind
 
     # ------------------------------------------------------------------
     def execution_fault(
@@ -197,26 +157,14 @@ class ServiceFaultModel:
     ) -> Optional[ServiceFaultKind]:
         """The fault (if any) hitting ``attempt`` (1-based) of a job."""
         with self._lock:
-            injected = self._consume_injection(EXECUTION_KINDS)
-            if injected is not None:
-                return self._record(injected)
-            drawn = self._stacked_draw(EXECUTION_KINDS, job_id, attempt)
-            if drawn is not None:
-                return self._record(drawn)
-            return None
+            return self._fire(EXECUTION_KINDS, "crash/slow", job_id, attempt)
 
     def store_fault(self, job_id: str) -> Optional[ServiceFaultKind]:
         """The fault (if any) hitting the next save of ``job_id``."""
         with self._lock:
             save = self._save_counts.get(job_id, 0) + 1
             self._save_counts[job_id] = save
-            injected = self._consume_injection(STORE_KINDS)
-            if injected is not None:
-                return self._record(injected)
-            drawn = self._stacked_draw(STORE_KINDS, job_id, save)
-            if drawn is not None:
-                return self._record(drawn)
-            return None
+            return self._fire(STORE_KINDS, "io/torn", job_id, save)
 
     # ------------------------------------------------------------------
     def backoff_s(
@@ -225,24 +173,19 @@ class ServiceFaultModel:
         """Seeded exponential backoff before requeueing ``attempt``.
 
         ``min(base * 2**(attempt-1), cap)`` stretched by a seeded
-        jitter in [1, 1.25) — the service-tier mirror of the CAD
-        retry policy, in real seconds.
+        jitter in [1, 1.25), in real seconds.
         """
-        base = min(base_s * 2.0 ** max(0, attempt - 1), cap_s)
-        jitter = 0.25 * _unit_draw(self.seed, "backoff", job_id, attempt)
-        return base * (1.0 + jitter)
+        return capped_backoff(
+            base_s, 2.0, max(0, attempt - 1), cap_s, 0.25,
+            self.seed, "backoff", job_id, attempt,
+        )
 
     def fingerprint(self) -> Dict:
         """JSON form of everything that can change a run's timeline."""
         with self._lock:
             return {
                 "seed": self.seed,
-                "rates": {
-                    kind.value: rate
-                    for kind, rate in sorted(
-                        self.rates.items(), key=lambda kv: kv[0].value
-                    )
-                },
+                "rates": rate_map(self.rates),
                 "injected": {
                     kind.value: count
                     for kind, count in sorted(
@@ -254,7 +197,11 @@ class ServiceFaultModel:
 
 
 class _NoServiceFaults(ServiceFaultModel):
-    """The always-healthy model the service defaults to."""
+    """The always-healthy model the service defaults to.
+
+    Draw methods are overridden to skip the lock and the per-job save
+    counters, so the shared instance carries no cross-run state.
+    """
 
     def __init__(self) -> None:
         super().__init__(seed=0, rates=None)
@@ -264,6 +211,12 @@ class _NoServiceFaults(ServiceFaultModel):
             "cannot inject faults into the shared NO_SERVICE_FAULTS model; "
             "construct a ServiceFaultModel instead"
         )
+
+    def execution_fault(self, job_id, attempt):
+        return None
+
+    def store_fault(self, job_id):
+        return None
 
 
 #: Shared disabled model: no worker ever crashes, no save ever tears.

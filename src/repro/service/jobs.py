@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 import json
-import os
 import re
 import threading
 import time
@@ -30,6 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.atomic import atomic_write
 from repro.errors import PrEspError
 from repro.obs.context import RequestIdFactory, TelemetryContext
 from repro.obs.logconfig import get_logger
@@ -313,11 +313,11 @@ def _job_sequence(job_id: str) -> Optional[int]:
 class JobStore:
     """Durable job records: one atomic JSON file per job.
 
-    Writes go through tmp-then-rename with a writer-unique tmp name, so
-    a SIGKILL can never leave a torn record, and concurrent worker
-    threads can persist different jobs without coordination. A file
-    that fails to parse on load is skipped with a warning — one corrupt
-    record must not brick the daemon.
+    Writes go through :func:`~repro.atomic.atomic_write`, so a SIGKILL
+    can never leave a torn record, and concurrent worker threads can
+    persist different jobs without coordination. A file that fails to
+    parse on load is skipped with a warning — one corrupt record must
+    not brick the daemon.
 
     ``faults`` wires the seeded :class:`~repro.service.faults.
     ServiceFaultModel` into the write path: a ``STORE_IO`` draw raises
@@ -332,29 +332,20 @@ class JobStore:
     ) -> None:
         self.directory = Path(directory)
         self.faults = faults
-        self._lock = threading.Lock()
-        self._tmp_count = 0
 
     def path_for(self, job_id: str) -> Path:
         return self.directory / f"{job_id}.json"
 
     def save(self, record: JobRecord) -> None:
         payload = json.dumps(record.to_dict(), indent=2, sort_keys=True)
-        path = self.path_for(record.job_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            self._tmp_count += 1
-            tmp = path.with_name(f".{path.name}.{os.getpid()}.{self._tmp_count}.tmp")
         fault = self.faults.store_fault(record.job_id)
         if fault is ServiceFaultKind.STORE_IO:
             raise OSError(f"injected IO error saving {record.job_id}")
-        if fault is ServiceFaultKind.TORN_WRITE:
-            # The write dies mid-flight: half the payload reaches the
-            # tmp file, the rename never happens.
-            tmp.write_text(payload[: max(1, len(payload) // 2)])
-            raise OSError(f"injected torn write saving {record.job_id}")
-        tmp.write_text(payload + "\n")
-        os.replace(tmp, path)
+        atomic_write(
+            self.path_for(record.job_id),
+            (payload + "\n").encode("utf-8"),
+            torn=fault is ServiceFaultKind.TORN_WRITE,
+        )
 
     def save_retrying(
         self, record: JobRecord, attempts: int = 4, backoff_s: float = 0.01

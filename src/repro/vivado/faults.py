@@ -9,12 +9,9 @@ models them the same way the rest of the reproduction models CAD cost:
 Two ingredients:
 
 * :class:`CadFaultModel` — seeded per-:class:`~repro.vivado.
-  runtime_model.JobKind` failure probabilities plus targeted
-  :meth:`~CadFaultModel.inject_fault` arming (the compile-time mirror
-  of :meth:`repro.runtime.faults.RuntimeFaultModel.inject`). Every draw is
-  a pure hash of ``(seed, kind, job, attempt)``, so the failure
-  timeline of a build depends only on the seed and the job identities —
-  never on execution order, process count, or resume boundaries.
+  runtime_model.JobKind` failure probabilities (drawn by the
+  :mod:`repro.faults` kernel, keyed ``kind, stage, job, attempt``) plus
+  targeted :meth:`~CadFaultModel.inject_fault` arming.
 * :class:`RetryPolicy` — bounded attempts with exponential backoff and
   seeded jitter, charged in modelled CAD minutes so retried jobs
   genuinely reshape the schedule makespan.
@@ -27,11 +24,17 @@ VivadoInstance` and surfaces in reports, events and checkpoints.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import FlowError
+from repro.faults import (
+    capped_backoff,
+    check_backoff,
+    check_rates,
+    rate_map,
+    stacked_draw,
+)
 from repro.vivado.runtime_model import JobKind
 
 
@@ -51,29 +54,13 @@ class CadFaultError(FlowError):
         )
 
 
-def _unit_draw(*parts: object) -> float:
-    """A deterministic uniform draw in [0, 1) keyed by ``parts``.
-
-    SHA-256 over the joined key gives order-independence: the same
-    (seed, kind, job, attempt) tuple draws the same number whether the
-    job runs first, last, in a worker process, or after a resume.
-    """
-    key = "|".join(str(p) for p in parts).encode("utf-8")
-    digest = hashlib.sha256(key).digest()
-    return int.from_bytes(digest[:8], "big") / float(1 << 64)
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retries with exponential backoff in CAD minutes.
 
-    The backoff before attempt ``n`` (n >= 2) is::
-
-        min(backoff_minutes * factor**(n - 2), cap_minutes) * (1 + j)
-
-    where ``j`` is a seeded jitter draw in ``[0, jitter]``. The jitter
-    is applied *after* the cap, so the bound visible to schedulers is
-    ``cap_minutes * (1 + jitter)``.
+    The backoff before attempt ``n`` (n >= 2) is the kernel's
+    :func:`~repro.faults.capped_backoff` with exponent ``n - 2``; the
+    bound visible to schedulers is ``cap_minutes * (1 + jitter)``.
     """
 
     max_attempts: int = 3
@@ -85,12 +72,9 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise FlowError(f"retry policy needs >= 1 attempt, got {self.max_attempts}")
-        if self.backoff_minutes < 0 or self.cap_minutes < 0:
-            raise FlowError("backoff and cap must be non-negative")
-        if self.factor < 1.0:
-            raise FlowError(f"backoff factor must be >= 1, got {self.factor}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise FlowError(f"jitter must be in [0, 1], got {self.jitter}")
+        check_backoff(
+            self.backoff_minutes, self.factor, self.cap_minutes, self.jitter, FlowError
+        )
 
     @property
     def max_backoff_minutes(self) -> float:
@@ -105,11 +89,10 @@ class RetryPolicy:
         """
         if attempt <= 1:
             return 0.0
-        base = min(
-            self.backoff_minutes * self.factor ** (attempt - 2), self.cap_minutes
+        return capped_backoff(
+            self.backoff_minutes, self.factor, attempt - 2, self.cap_minutes,
+            self.jitter, seed, "backoff", job_name, attempt,
         )
-        jitter = self.jitter * _unit_draw(seed, "backoff", job_name, attempt)
-        return base * (1.0 + jitter)
 
 
 #: Retry policy of the default flow: three attempts, 2-minute base
@@ -178,8 +161,7 @@ class CadFaultModel:
     ``rates`` maps a :class:`JobKind` to its per-attempt failure
     probability (kinds absent from the map never fail stochastically).
     :meth:`inject_fault` arms targeted failures for one job regardless
-    of the stochastic rates — mirroring the runtime's
-    ``RuntimeFaultModel.inject`` hook, but on the compile side.
+    of the stochastic rates.
 
     The model is stateless with respect to stochastic draws (pure
     hashing), so re-planning the same job after a resume reproduces the
@@ -194,15 +176,8 @@ class CadFaultModel:
         seed: int = 0,
         rates: Optional[Mapping[JobKind, float]] = None,
     ) -> None:
-        for kind, rate in (rates or {}).items():
-            if not isinstance(kind, JobKind):
-                raise FlowError(f"fault rates must be keyed by JobKind, got {kind!r}")
-            if not 0.0 <= rate < 1.0:
-                raise FlowError(
-                    f"failure probability for {kind.value} must be in [0, 1), got {rate}"
-                )
+        self.rates: Dict[JobKind, float] = check_rates(rates, JobKind, FlowError)
         self.seed = seed
-        self.rates: Dict[JobKind, float] = dict(rates or {})
         self._injected: Dict[Tuple[str, str], int] = {}
 
     @property
@@ -231,20 +206,17 @@ class CadFaultModel:
         """Deterministic outcome of one attempt (1-based)."""
         if attempt <= self._injected.get((stage, job), 0):
             return True
-        rate = self.rates.get(kind, 0.0)
-        if rate <= 0.0:
-            return False
-        return _unit_draw(self.seed, kind.value, stage, job, attempt) < rate
+        return (
+            stacked_draw(self.seed, (kind,), self.rates, kind.value, stage, job, attempt)
+            is not None
+        )
 
     # ------------------------------------------------------------------
     def fingerprint(self) -> Dict:
         """Cache-key form: everything that can change a build's outcome."""
         return {
             "seed": self.seed,
-            "rates": {
-                kind.value: rate
-                for kind, rate in sorted(self.rates.items(), key=lambda kv: kv[0].value)
-            },
+            "rates": rate_map(self.rates),
             "injected": {
                 f"{stage}/{job}": count
                 for (stage, job), count in sorted(self._injected.items())

@@ -129,6 +129,28 @@ class TestModel:
 
 
 class TestFaultAwareStore:
+    def test_default_store_leaves_the_shared_healthy_model_untouched(self, tmp_path):
+        """Saves through a default store must not grow per-job state on
+        the process-wide NO_SERVICE_FAULTS singleton."""
+        before = (
+            dict(NO_SERVICE_FAULTS._save_counts),
+            dict(NO_SERVICE_FAULTS._injected),
+            dict(NO_SERVICE_FAULTS.fired),
+        )
+        store = JobStore(tmp_path / "jobs")
+        assert store.faults is NO_SERVICE_FAULTS
+        for seq in range(3):
+            store.save(record(seq))
+            store.save(record(seq))
+        assert NO_SERVICE_FAULTS.execution_fault("job-00000000-0001", 1) is None
+        after = (
+            NO_SERVICE_FAULTS._save_counts,
+            NO_SERVICE_FAULTS._injected,
+            NO_SERVICE_FAULTS.fired,
+        )
+        assert after == before == ({}, {}, {})
+        assert len(store.load_all()) == 3
+
     def test_io_fault_raises_and_retry_succeeds(self, tmp_path):
         model = ServiceFaultModel(seed=0)
         model.inject(ServiceFaultKind.STORE_IO)
